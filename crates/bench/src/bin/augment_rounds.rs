@@ -162,7 +162,7 @@ fn main() {
     let (sources, kb) = corpus(&mut terms, domains, pages, entities);
     let num_sources = sources.len();
 
-    let config = MidasConfig::running_example().with_threads(threads);
+    let config = MidasConfig::running_example();
     let mut warm_aug =
         Augmenter::new(config.clone(), sources.clone(), kb.clone()).with_threads(threads);
     let mut noreuse_aug = Augmenter::new(config, sources, kb).with_threads(threads);

@@ -81,7 +81,6 @@ fn main() {
     );
 
     let config = MidasConfig::running_example()
-        .with_threads(threads)
         .with_stream_window(window)
         .with_retain_invalid_extents(retain_invalid);
     let alg = MidasAlg::new(config.clone());

@@ -48,12 +48,13 @@ fn corpus(t: &mut Interner, entities: usize) -> Vec<SourceFacts> {
 
 fn run_framework(
     config: &MidasConfig,
+    threads: usize,
     sources: Vec<SourceFacts>,
     kb: &KnowledgeBase,
     tables: Option<&BTreeMap<SourceUrl, FactTable>>,
 ) -> FrameworkReport {
     let alg = MidasAlg::new(config.clone());
-    let fw = Framework::new(&alg, config.cost).with_threads(config.threads);
+    let fw = Framework::new(&alg, config.cost).with_threads(threads);
     match tables {
         Some(t) => fw.run_with_tables(sources, kb, t),
         None => fw.run(sources, kb),
@@ -132,9 +133,9 @@ fn main() {
     );
 
     // Bit-identity: the two paths must produce the same report.
-    let config = MidasConfig::running_example().with_threads(threads);
-    let cold_report = run_framework(&config, cold.sources, &cold.kb, Some(&cold_tables));
-    let warm_report = run_framework(&config, warm.sources, &warm.kb, Some(&warm_tables));
+    let config = MidasConfig::running_example();
+    let cold_report = run_framework(&config, threads, cold.sources, &cold.kb, Some(&cold_tables));
+    let warm_report = run_framework(&config, threads, warm.sources, &warm.kb, Some(&warm_tables));
     assert_eq!(cold_report.slices.len(), warm_report.slices.len());
     for (a, b) in cold_report.slices.iter().zip(&warm_report.slices) {
         assert_eq!(a.source, b.source);

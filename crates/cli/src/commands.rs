@@ -263,11 +263,10 @@ pub fn run_algorithm_budgeted(
 ) -> (Vec<DiscoveredSlice>, Quarantine) {
     match algorithm {
         Algorithm::Midas => {
-            // `--threads` drives both layers: source-level framework rounds
-            // and level-wise hierarchy construction inside each detect call.
+            // `--threads` sizes the framework's per-source pool; each
+            // source's hierarchy is built sequentially on its pool thread.
             let cfg = MidasConfig::default()
                 .with_cost(cost)
-                .with_threads(threads)
                 .with_budget(budget)
                 .with_stream_window(stream_window);
             let run = match tables {
@@ -634,7 +633,6 @@ fn augment(
     let mut notes = loaded.notes;
     let config = MidasConfig::default()
         .with_cost(CostModel { fp, fc, fd, fv })
-        .with_threads(threads)
         .with_budget(budget_from(limits))
         .with_stream_window(limits.stream_window);
     let initial_kb = kb.len();

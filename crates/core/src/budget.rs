@@ -10,8 +10,9 @@
 //! * **hierarchy-node cap** (`max_nodes`): checked cooperatively at every
 //!   level boundary of the slice-hierarchy construction;
 //! * **wall-clock deadline** (`deadline`): checked cooperatively at level
-//!   boundaries *and* enforced across worker threads by the
-//!   `recv_timeout`-based collection loop of [`crate::parallel::par_map`].
+//!   boundaries *and* enforced across worker threads by the claim cursor
+//!   of [`crate::parallel::par_map_streamed`], which stops handing out
+//!   tasks once it passes.
 //!
 //! A source that blows its budget is abandoned by unwinding with a
 //! [`BudgetBreach`] payload. The panic-safe worker pool
@@ -162,8 +163,9 @@ thread_local! {
 
 /// RAII guard installing a [`SourceBudget`] as the thread's active budget.
 ///
-/// While the guard lives, [`checkpoint`] and the deadline-aware collection
-/// loop of [`crate::parallel::par_map`] enforce the budget on this thread.
+/// While the guard lives, [`checkpoint`] and the deadline-aware worker pool
+/// ([`crate::parallel::par_map_streamed`]) enforce the budget on this
+/// thread.
 /// Entering a scope while one is already active yields a pass-through guard
 /// (the outer scope keeps governing).
 #[derive(Debug)]
@@ -203,8 +205,8 @@ impl Drop for BudgetScope {
     }
 }
 
-/// The active scope's absolute deadline, if any. Read by the worker pool to
-/// decide between blocking and `recv_timeout`-bounded result collection.
+/// The active scope's absolute deadline, if any. Read by the worker pool,
+/// which claims no task after it.
 pub fn active_deadline() -> Option<Instant> {
     ACTIVE.with(|a| a.borrow().and_then(|b| b.deadline))
 }

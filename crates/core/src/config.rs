@@ -86,12 +86,6 @@ pub struct MidasConfig {
     /// (`always_report_best` implies retention: its fallback may report an
     /// invalid node.)
     pub retain_invalid_extents: bool,
-    /// Worker threads for level-wise hierarchy construction (parent
-    /// generation and profit evaluation). `1` = fully sequential. Any value
-    /// produces node-for-node identical hierarchies: parallel phases only
-    /// compute, and all structural mutation happens in a deterministic
-    /// sequential merge.
-    pub threads: usize,
     /// Per-source execution budget enforced by the framework rounds. Three
     /// knobs, all unlimited by default:
     ///
@@ -124,7 +118,6 @@ impl Default for MidasConfig {
             disable_profit_pruning: false,
             always_report_best: false,
             retain_invalid_extents: false,
-            threads: 1,
             budget: SourceBudget::unlimited(),
             stream_window: None,
         }
@@ -143,12 +136,6 @@ impl MidasConfig {
     /// Replaces the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Sets the construction thread count (`1` = sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 

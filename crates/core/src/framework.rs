@@ -13,7 +13,9 @@
 //!    sponsored by NASA" displaces the two page slices it covers).
 //!
 //! Shards are independent, so each round is processed by a small thread pool
-//! (the paper used MapReduce with the same keying).
+//! (the paper used MapReduce with the same keying). Shards are the only
+//! parallel unit: each shard's detector, hierarchy included, runs
+//! sequentially on whichever pool thread claimed it.
 //!
 //! ### Streaming pipeline
 //!
@@ -357,7 +359,8 @@ impl<'a, D: SliceDetector> Framework<'a, D> {
         self
     }
 
-    /// Sets the number of worker threads per round (1 = sequential).
+    /// Sets the number of threads working on each round's shards — the
+    /// calling thread plus `threads − 1` helpers (1 = sequential).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

@@ -23,17 +23,15 @@ use midas_kb::fnv::{FnvHashMap, FnvHashSet};
 use crate::config::MidasConfig;
 use crate::extent::ExtentSet;
 use crate::fact_table::{EntityId, FactTable, PropertyId};
-use crate::parallel::par_map;
 use crate::profit::ProfitCtx;
+use crate::telemetry::{Counter, LocalTally};
 
 /// Construction/patch telemetry: how much evaluation work hierarchies do,
 /// how much of it warm patching avoids, and the extent-memory churn.
 ///
 /// The per-node counters (`nodes_evaluated`, `nodes_pruned`,
 /// `extents_freed`) fire hundreds of thousands of times per build, so
-/// they batch in plain thread-local cells and drain every [`FLUSH_EVERY`]
-/// events and at thread exit — totals exact once workers retire,
-/// snapshots monotone, hot path one TLS bump. The warm-patch counters are
+/// they batch in a per-thread [`LocalTally`]. The warm-patch counters are
 /// per-leaf (rare) and record directly.
 mod metrics {
     crate::counter!(pub NODES_EVALUATED, "hierarchy.nodes_evaluated");
@@ -50,70 +48,23 @@ const KIND_NODES_PRUNED: usize = 1;
 const KIND_EXTENTS_FREED: usize = 2;
 const NUM_KINDS: usize = 3;
 
-static KIND_SINKS: [&crate::telemetry::Counter; NUM_KINDS] = [
+static KIND_SINKS: [&Counter; NUM_KINDS] = [
     &metrics::NODES_EVALUATED,
     &metrics::NODES_PRUNED,
     &metrics::EXTENTS_FREED,
 ];
 
-/// Batched events per thread before draining to the shared counters.
-const FLUSH_EVERY: u64 = 1024;
-
-#[derive(Default)]
-struct Tally {
-    counts: [std::cell::Cell<u64>; NUM_KINDS],
-    pending: std::cell::Cell<u64>,
-}
-
-impl Tally {
-    fn flush(&self) {
-        for (kind, sink) in KIND_SINKS.iter().enumerate() {
-            let n = self.counts[kind].take();
-            if n > 0 {
-                sink.add_always(n);
-            }
-        }
-        self.pending.set(0);
-    }
-}
-
-impl Drop for Tally {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 thread_local! {
-    static TALLY: Tally = Tally::default();
+    static TALLY: LocalTally<NUM_KINDS> = const { LocalTally::new(&KIND_SINKS) };
 }
 
 #[inline]
 fn tally(kind: usize, n: u64) {
-    if crate::telemetry::enabled() {
-        tally_enabled(kind, n);
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn tally_enabled(kind: usize, n: u64) {
-    let _ = TALLY.try_with(|t| {
-        t.counts[kind].set(t.counts[kind].get() + n);
-        let pending = t.pending.get() + 1;
-        if pending >= FLUSH_EVERY {
-            t.flush();
-        } else {
-            t.pending.set(pending);
-        }
-    });
+    LocalTally::record(&TALLY, &[(kind, n)]);
 }
 
 /// Index of a node in the hierarchy.
 pub type NodeId = u32;
-
-/// One node's profit evaluation: `(node, profit, f(child SLB set), child
-/// SLB slices)` — `None` when the node was removed before evaluation.
-type ProfitEval = Option<(NodeId, f64, f64, Vec<NodeId>)>;
 
 /// One slice node.
 #[derive(Debug, Clone)]
@@ -452,9 +403,7 @@ impl SliceHierarchy {
     /// traversal skips `!valid` nodes before touching their extent. The
     /// only remaining readers are the `always_report_best` fallback (which
     /// may report an invalid node) and callers that opt out via
-    /// `retain_invalid_extents`, so freeing is gated on both. Freeing is
-    /// deterministic in the node set, so parallel builds stay bit-identical
-    /// to `threads = 1`.
+    /// `retain_invalid_extents`, so freeing is gated on both.
     fn free_invalid_extents(&mut self, config: &MidasConfig, l: usize) {
         if config.retain_invalid_extents || config.always_report_best {
             return;
@@ -488,14 +437,6 @@ impl SliceHierarchy {
             return;
         }
         let ids: Vec<NodeId> = self.levels.get(l).cloned().unwrap_or_default();
-        if config.threads > 1 && ids.len() > 1 {
-            self.generate_parents_parallel(table, config.threads, ids);
-        } else {
-            self.generate_parents_sequential(table, ids);
-        }
-    }
-
-    fn generate_parents_sequential(&mut self, table: &FactTable, ids: Vec<NodeId>) {
         for id in ids {
             if self.nodes[id as usize].removed {
                 continue;
@@ -554,104 +495,8 @@ impl SliceHierarchy {
         }
     }
 
-    /// Parallel variant: a read-only **map phase** derives the extent of
-    /// every parent that does not yet exist, then a sequential **merge
-    /// phase** applies insertions and links in child-id order — exactly the
-    /// mutation order of the sequential path, so the resulting hierarchy is
-    /// node-for-node identical. Parents shared by several children of the
-    /// same level are planned redundantly by each child; the merge keeps the
-    /// first plan and links the rest.
-    fn generate_parents_parallel(&mut self, table: &FactTable, threads: usize, ids: Vec<NodeId>) {
-        let this: &SliceHierarchy = self;
-        let plans: Vec<(NodeId, Vec<Option<ExtentSet>>)> = par_map(threads, ids, |id| {
-            if this.nodes[id as usize].removed {
-                return (id, Vec::new());
-            }
-            let props = &this.nodes[id as usize].props;
-            let child_hash = this.hashes[id as usize];
-            // Same hybrid as the sequential path: a lone missing parent goes
-            // through `extent_of`, several amortize the prefix/suffix chains.
-            // Either route yields the same normalized set, so the merge stays
-            // bit-identical to the sequential build.
-            let exists: Vec<bool> = (0..props.len())
-                .map(|skip| {
-                    let parent_hash = child_hash ^ prop_hash(props[skip]);
-                    this.by_hash.get(&parent_hash).is_some_and(|cands| {
-                        cands
-                            .iter()
-                            .any(|&c| props_match_skip(&this.nodes[c as usize].props, props, skip))
-                    })
-                })
-                .collect();
-            let missing = exists.iter().filter(|e| !**e).count();
-            let mut chains: Option<(Vec<ExtentSet>, Vec<ExtentSet>)> = None;
-            let per_skip = exists
-                .into_iter()
-                .enumerate()
-                .map(|(skip, exists)| {
-                    if exists {
-                        return None;
-                    }
-                    if missing == 1 {
-                        let parent_props: Vec<PropertyId> = props
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, _)| i != skip)
-                            .map(|(_, &p)| p)
-                            .collect();
-                        return Some(table.extent_of(&parent_props));
-                    }
-                    let (pre, suf) = chains.get_or_insert_with(|| extent_chains(table, props));
-                    Some(if skip == 0 {
-                        suf[1].clone()
-                    } else if skip == props.len() - 1 {
-                        pre[props.len() - 1].clone()
-                    } else {
-                        pre[skip].intersect(&suf[skip + 1])
-                    })
-                })
-                .collect();
-            if let Some((pre, suf)) = chains.take() {
-                recycle_chains(pre, suf);
-            }
-            (id, per_skip)
-        });
-        for (id, per_skip) in plans {
-            if per_skip.is_empty() {
-                continue;
-            }
-            let props = self.nodes[id as usize].props.clone();
-            let child_hash = self.hashes[id as usize];
-            for (skip, plan) in per_skip.into_iter().enumerate() {
-                let parent_hash = child_hash ^ prop_hash(props[skip]);
-                let existing = self.by_hash.get(&parent_hash).and_then(|cands| {
-                    cands
-                        .iter()
-                        .copied()
-                        .find(|&c| props_match_skip(&self.nodes[c as usize].props, &props, skip))
-                });
-                let pid = match existing {
-                    Some(pid) => pid,
-                    None => {
-                        let extent = plan.expect("missing parents are planned in the map phase");
-                        let parent_props: Box<[PropertyId]> = props
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, _)| i != skip)
-                            .map(|(_, &p)| p)
-                            .collect();
-                        self.insert_node(parent_props, parent_hash, extent)
-                    }
-                };
-                self.link(pid, id);
-            }
-        }
-    }
-
     /// Releases the extent of a removed or invalid node into the scratch
-    /// pool, leaving a canonical empty set behind. Sequential and parallel
-    /// builds remove and invalidate the same nodes in the same order, so
-    /// freed extents stay node-for-node identical across thread counts.
+    /// pool, leaving a canonical empty set behind.
     fn free_extent(&mut self, id: NodeId) {
         let node = &mut self.nodes[id as usize];
         debug_assert!(
@@ -768,11 +613,6 @@ impl SliceHierarchy {
 
     /// Step (3): profit evaluation, `SLB`/`f_LB` maintenance, and low-profit
     /// pruning at level `l`.
-    ///
-    /// Nodes at one level are independent (each reads only its own extent
-    /// and the already-finalized `SLB` data of deeper levels), so the pure
-    /// computation runs through [`par_map`] and the results are written back
-    /// sequentially — parallel runs are bit-identical to `threads = 1`.
     fn evaluate_and_prune_profit(&mut self, ctx: &ProfitCtx<'_>, config: &MidasConfig, l: usize) {
         let ids: Vec<NodeId> = self.levels.get(l).cloned().unwrap_or_default();
         self.evaluate_ids(ctx, config, ids);
@@ -784,15 +624,16 @@ impl SliceHierarchy {
     /// which ids they pass — a whole level at build time, the level's dirty
     /// subset when warm-patching — so running the identical computation and
     /// write-back here is what keeps warm results bit-identical to a fresh
-    /// build.
+    /// build. Each node reads only its own extent and the finalized `SLB`
+    /// data of deeper levels, so writing one node back never changes what
+    /// a sibling at the same level computes.
     fn evaluate_ids(&mut self, ctx: &ProfitCtx<'_>, config: &MidasConfig, ids: Vec<NodeId>) {
         tally(KIND_NODES_EVALUATED, ids.len() as u64);
-        let this: &SliceHierarchy = self;
-        let evals: Vec<ProfitEval> = par_map(config.threads, ids, |id| {
-            if this.nodes[id as usize].removed {
-                return None;
+        for id in ids {
+            let node = &self.nodes[id as usize];
+            if node.removed {
+                continue;
             }
-            let node = &this.nodes[id as usize];
             let profit = ctx.profit_single(&node.extent);
 
             // Union of the children's lower-bound slice sets (those with
@@ -800,7 +641,7 @@ impl SliceHierarchy {
             let mut child_set: Vec<NodeId> = Vec::new();
             let mut seen: FnvHashSet<NodeId> = FnvHashSet::default();
             for &c in &node.children {
-                let cn = &this.nodes[c as usize];
+                let cn = &self.nodes[c as usize];
                 if cn.slb_profit > 0.0 {
                     for &s in &cn.slb_slices {
                         if seen.insert(s) {
@@ -819,14 +660,11 @@ impl SliceHierarchy {
                 // bitmap is recycled across nodes, levels, and shards.
                 let extents: Vec<&ExtentSet> = child_set
                     .iter()
-                    .map(|&s| this.nodes[s as usize].live_extent())
+                    .map(|&s| self.nodes[s as usize].live_extent())
                     .collect();
                 ctx.profit_of_union(&extents, child_set.len())
             };
-            Some((id, profit, f_child_set, child_set))
-        });
 
-        for (id, profit, f_child_set, child_set) in evals.into_iter().flatten() {
             let node = &mut self.nodes[id as usize];
             node.profit = profit;
             if profit >= f_child_set && profit > 0.0 {
@@ -1485,24 +1323,6 @@ mod tests {
             assert_eq!(x.slb_profit.to_bits(), y.slb_profit.to_bits(), "node {id}");
             assert_eq!(x.slb_slices, y.slb_slices, "node {id}");
         }
-    }
-
-    /// `threads = 4` must build a bit-identical hierarchy to `threads = 1`.
-    #[test]
-    fn parallel_build_is_node_for_node_identical() {
-        let mut t = Interner::new();
-        let (ft, cfg) = build_running_example(&mut t);
-        let ctx = ProfitCtx::new(&ft, cfg.cost);
-        let h1 = SliceHierarchy::build(&ft, &ctx, &cfg);
-        let h4 = SliceHierarchy::build(&ft, &ctx, &cfg.clone().with_threads(4));
-        assert_hierarchies_identical(&h1, &h4);
-
-        // Also with pruning disabled (more surviving structure to compare).
-        let mut cfg_np = cfg;
-        cfg_np.disable_profit_pruning = true;
-        let h1 = SliceHierarchy::build(&ft, &ctx, &cfg_np);
-        let h4 = SliceHierarchy::build(&ft, &ctx, &cfg_np.clone().with_threads(4));
-        assert_hierarchies_identical(&h1, &h4);
     }
 
     /// Warm-patching last round's hierarchy after a KB insertion delta must

@@ -1,49 +1,52 @@
-//! Shared worker-pool utilities.
+//! Shared worker pool.
 //!
 //! One idiom serves every parallel site in the crate: an **order-preserving
-//! parallel map** over an owned work list, built on scoped crossbeam threads
-//! and channels. Callers fan the *pure* part of their work out through
-//! [`par_map`] and then apply the results sequentially in a deterministic
-//! order, so parallel and sequential runs produce identical structures.
+//! streaming map** over an owned work list, [`par_map_streamed`]. Callers
+//! fan the *pure* part of their work out through it and apply the results
+//! in input order, so parallel and sequential runs produce identical
+//! structures. [`par_map_isolated`] is the window = `n` special case that
+//! collects into a vector.
 //!
-//! The engine underneath is [`par_map_streamed`]: a **bounded-window
-//! streaming map**. At most `window` items are admitted at once — counting
-//! both tasks in flight and results buffered for in-order delivery — and
-//! each result is handed to a sink callback in input order as soon as its
-//! turn completes, so the caller can release a shard's state eagerly instead
-//! of holding all `n` results until the round ends. [`par_map_isolated`] is
-//! the window = `n` special case that collects into a vector.
+//! **Dispatch.** A call opens one thread scope with `threads − 1` helper
+//! threads, and the calling thread works too. Threads claim items through
+//! an atomic cursor that stays at most `window` items ahead of the next
+//! undelivered result (claimed − delivered ≤ window), so the resident
+//! state — tasks running plus finished results awaiting their turn — is
+//! bounded by the window, not by `items.len()`. Each item has one slot,
+//! holding first its input and then its outcome. Between tasks the caller
+//! hands every finished in-order result to `sink`, so `sink` always runs
+//! on the calling thread and a shard's state can be released as soon as
+//! its turn comes. A thread with nothing to claim parks on a condvar rather
+//! than spinning: a helper while the window is full, the caller while its
+//! next in-order result is still running elsewhere. A task pays one cursor
+//! bump and two uncontended slot locks — no channel hop and no collector
+//! thread competing with the workers for cores.
 //!
-//! The pool is **panic-safe**: every task body runs under `catch_unwind`, so
-//! one misbehaving task cannot unwind the scope and take the other tasks'
-//! results with it. [`par_map_isolated`] surfaces per-item faults as
-//! `Result<R, TaskFault>` in the original item order; [`par_map`] keeps its
-//! infallible signature (a faulting task re-raises after all surviving
-//! results are collected) so existing callers see byte-identical behaviour.
+//! The pool is **panic-safe**: every task body runs under `catch_unwind`
+//! ([`run_isolated`]), so one misbehaving task cannot unwind the scope and
+//! take the other tasks' results with it; its fault surfaces as
+//! `Err(TaskFault)` at its own index.
 //!
 //! When the calling thread holds an active [`crate::budget::BudgetScope`]
-//! with a wall-clock deadline, the collection loop switches from blocking
-//! `recv` to `recv_timeout` against that deadline: a pool whose workers are
-//! stuck in a pathological task is abandoned at the deadline instead of
-//! hanging the run (workers observe a cancel flag and drain the remaining
-//! queue without executing it).
+//! with a wall-clock deadline, no item is claimed once it has passed: the
+//! caller closes the cursor and every item not yet claimed comes back as a
+//! deadline fault. Tasks already running finish and deliver their results —
+//! the call never returns before every task it started has ended.
 
 use crate::budget;
 use crate::quarantine::FaultCause;
 use crate::telemetry;
-use crossbeam::channel::{self, RecvTimeoutError};
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Worker-pool instrumentation. `pool.tasks` (exact, counted once per map
 /// call) and the per-kind fault counters are precise; the wait/exec/
-/// occupancy histograms are *statistical samples* — every
-/// [`SPAN_SAMPLE_EVERY`]-th task per thread, starting with the first —
-/// because two clock reads plus three histogram records per task would
-/// dominate the sub-microsecond tasks this pool is fed (millions per
-/// run). Sampling keeps the shape of the distributions at ~1/64 the cost.
+/// occupancy histograms are *statistical samples* — one task in
+/// [`SPAN_SAMPLE_EVERY`], starting with the first — so that two clock
+/// reads plus three histogram records never dominate a short task.
+/// `wait` is the time from the window admitting a task to its start.
 mod metrics {
     use crate::budget::BreachKind;
     use crate::quarantine::FaultCause;
@@ -72,7 +75,9 @@ mod metrics {
     }
 }
 
-/// One task in this many (per thread) records its timing histograms.
+/// One task in this many records its timing histograms: per thread on the
+/// sequential path, by item index (`index % SPAN_SAMPLE_EVERY == 0`) on
+/// the threaded one.
 const SPAN_SAMPLE_EVERY: u32 = 64;
 
 thread_local! {
@@ -148,8 +153,7 @@ fn finish_slot<R>(index: usize, out: Option<Result<R, FaultCause>>) -> Result<R,
             metrics::record_fault(&cause);
             Err(TaskFault { index, cause })
         }
-        // Slot skipped after cancellation (or lost to an abandoned pool):
-        // the deadline elapsed before this task ran.
+        // Never run: the deadline elapsed before the item was claimed.
         None => {
             metrics::FAULTS_DEADLINE.inc();
             Err(TaskFault {
@@ -162,10 +166,10 @@ fn finish_slot<R>(index: usize, out: Option<Result<R, FaultCause>>) -> Result<R,
 
 /// Streaming order-preserving parallel map with a bounded admission window.
 ///
-/// At most `window` items are admitted at once — in flight on a worker or
-/// buffered awaiting in-order delivery — so the caller's peak resident state
-/// is proportional to the window, not to `items.len()`. Each result is
-/// handed to `sink(index, result)` in input order the moment its turn
+/// At most `window` items are admitted at once — running on some thread or
+/// finished and awaiting in-order delivery — so the caller's peak resident
+/// state is proportional to the window, not to `items.len()`. Each result
+/// is handed to `sink(index, result)` in input order the moment its turn
 /// completes; `sink` runs on the calling thread and is called exactly once
 /// per item, faulted or not.
 ///
@@ -208,115 +212,275 @@ where
         return;
     }
 
-    let window = window.max(1);
-    let (task_tx, task_rx) = channel::unbounded::<(usize, T, u64)>();
-    let (res_tx, res_rx) = channel::unbounded::<(usize, Option<Result<R, FaultCause>>)>();
-    let cancelled = AtomicBool::new(false);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.min(n).min(window) {
-            let task_rx = task_rx.clone();
-            let res_tx = res_tx.clone();
-            let f = &f;
-            let cancelled = &cancelled;
-            scope.spawn(move |_| {
-                while let Ok((i, item, enqueued_ns)) = task_rx.recv() {
-                    // After cancellation we still drain the queue so the
-                    // collector sees exactly one marker per admitted item,
-                    // but skip the work. `enqueued_ns == u64::MAX` marks an
-                    // unsampled task (see the admission site).
-                    let out = if cancelled.load(Ordering::Acquire) {
-                        None
-                    } else if enqueued_ns != u64::MAX {
-                        let start_ns = telemetry::clock_ns();
-                        metrics::TASK_WAIT_NS.record(start_ns.saturating_sub(enqueued_ns));
-                        let out = run_isolated(|| f(item));
-                        metrics::TASK_EXEC_NS
-                            .record(telemetry::clock_ns().saturating_sub(start_ns));
-                        Some(out)
-                    } else {
-                        Some(run_isolated(|| f(item)))
-                    };
-                    res_tx.send((i, out)).expect("open channel");
-                }
-            });
+    let pool = Pool::new(items, window.max(1), deadline);
+    // The caller is one of the workers; more helpers than items or window
+    // slots could never all hold a task.
+    let helpers = threads.min(n).min(pool.window) - 1;
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(|| pool.help(&f));
         }
-        drop(res_tx);
-        let mut feed = items.into_iter().enumerate();
-        // Results that completed out of order, keyed by input index. Entries
-        // here still count against the window, so buffered memory is bounded
-        // by `window` items too.
-        let mut pending: BTreeMap<usize, Option<Result<R, FaultCause>>> = BTreeMap::new();
-        let mut in_flight = 0usize;
-        let mut next = 0usize;
+        // Closes the cursor however `drive` ends — including a panicking
+        // `sink` — so parked helpers wake, exit, and let the scope join.
+        struct CloseOnExit<'p, T, R>(&'p Pool<T, R>);
+        impl<T, R> Drop for CloseOnExit<'_, T, R> {
+            fn drop(&mut self) {
+                self.0.close();
+            }
+        }
+        let _close = CloseOnExit(&pool);
+        pool.drive(&f, &mut sink);
+    });
+}
+
+/// One item's slot: its input until claimed, then its outcome until
+/// delivered.
+enum Slot<T, R> {
+    /// Not claimed yet. The `u64` is the clock reading at which the window
+    /// admitted the item, kept only for items on the timing-sample grid.
+    Queued(T, u64),
+    /// Claimed and running, or already delivered.
+    Empty,
+    /// Finished, awaiting in-order delivery.
+    Done(Result<R, FaultCause>),
+}
+
+/// The outcome of one claim attempt on the cursor.
+enum Claim {
+    Item(usize),
+    /// Every claimable item is `window` ahead of delivery.
+    WindowFull,
+    /// Nothing left to claim: all items claimed, the cursor closed, or the
+    /// deadline passed.
+    Exhausted,
+}
+
+/// Shared state of one threaded [`par_map_streamed`] call.
+struct Pool<T, R> {
+    slots: Vec<Mutex<Slot<T, R>>>,
+    window: usize,
+    deadline: Option<Instant>,
+    /// Index of the next unclaimed item; `slots.len()` once closed.
+    cursor: AtomicUsize,
+    /// Results handed to `sink` so far.
+    delivered: AtomicUsize,
+    /// Threads parked on `wake`, so progress only signals when someone
+    /// waits.
+    parked: AtomicUsize,
+    park_lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl<T, R> Pool<T, R> {
+    fn new(items: Vec<T>, window: usize, deadline: Option<Instant>) -> Self {
+        // Items inside the first window are admitted now.
+        let opened_ns = if telemetry::enabled() {
+            telemetry::clock_ns()
+        } else {
+            0
+        };
+        let slots = items
+            .into_iter()
+            .map(|item| Mutex::new(Slot::Queued(item, opened_ns)))
+            .collect();
+        Pool {
+            slots,
+            window,
+            deadline,
+            cursor: AtomicUsize::new(0),
+            delivered: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
+            park_lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn slot(&self, index: usize) -> MutexGuard<'_, Slot<T, R>> {
+        lock(&self.slots[index])
+    }
+
+    fn past_deadline(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    fn claim(&self) -> Claim {
+        if self.past_deadline() {
+            return Claim::Exhausted;
+        }
+        let mut at = self.cursor.load(SeqCst);
+        loop {
+            if at >= self.slots.len() {
+                return Claim::Exhausted;
+            }
+            if at >= self.delivered.load(SeqCst) + self.window {
+                return Claim::WindowFull;
+            }
+            match self
+                .cursor
+                .compare_exchange_weak(at, at + 1, SeqCst, SeqCst)
+            {
+                Ok(_) => return Claim::Item(at),
+                Err(now) => at = now,
+            }
+        }
+    }
+
+    /// Runs claimed item `index` and stores its outcome in its slot.
+    fn run<F: Fn(T) -> R>(&self, index: usize, f: &F) {
+        let Slot::Queued(item, admitted_ns) =
+            std::mem::replace(&mut *self.slot(index), Slot::Empty)
+        else {
+            unreachable!("item {index} claimed twice");
+        };
+        let out = if on_sample_grid(index) && telemetry::enabled() {
+            let start_ns = telemetry::clock_ns();
+            metrics::TASK_WAIT_NS.record(start_ns.saturating_sub(admitted_ns));
+            let occupancy = index + 1 - self.delivered.load(SeqCst);
+            metrics::WINDOW_OCCUPANCY.record(occupancy as u64);
+            let out = run_isolated(|| f(item));
+            metrics::TASK_EXEC_NS.record(telemetry::clock_ns().saturating_sub(start_ns));
+            out
+        } else {
+            run_isolated(|| f(item))
+        };
+        *self.slot(index) = Slot::Done(out);
+        self.signal();
+    }
+
+    /// A helper thread's loop: claim and run until nothing is left.
+    fn help<F: Fn(T) -> R>(&self, f: &F) {
+        let n = self.slots.len();
+        loop {
+            match self.claim() {
+                Claim::Item(index) => self.run(index, f),
+                Claim::WindowFull => self.park(None, || {
+                    let at = self.cursor.load(SeqCst);
+                    at >= n || at < self.delivered.load(SeqCst) + self.window
+                }),
+                Claim::Exhausted => break,
+            }
+        }
+        // Count this thread's batched telemetry before the scope joins, not
+        // whenever its thread-local destructors happen to run.
+        telemetry::flush_thread();
+    }
+
+    /// The calling thread's loop: deliver every finished in-order result,
+    /// claim and run a task when none is ready, park when neither is
+    /// possible.
+    fn drive<F, S>(&self, f: &F, sink: &mut S)
+    where
+        F: Fn(T) -> R,
+        S: FnMut(usize, Result<R, TaskFault>),
+    {
+        let n = self.slots.len();
+        // Where the cursor stood when the deadline closed it: items from
+        // here on were never claimed.
+        let mut closed_at: Option<usize> = None;
+        let mut next = 0;
         while next < n {
-            while in_flight < window {
-                match feed.next() {
-                    Some((i, item)) => {
-                        // The admission decides whether this task samples
-                        // its timing histograms; `u64::MAX` marks the
-                        // unsampled majority so workers skip both clock
-                        // reads entirely.
-                        let enqueued_ns = if telemetry::enabled() && sample_span() {
-                            metrics::WINDOW_OCCUPANCY.record(in_flight as u64 + 1);
-                            telemetry::clock_ns()
-                        } else {
-                            u64::MAX
-                        };
-                        task_tx.send((i, item, enqueued_ns)).expect("open channel");
-                        in_flight += 1;
-                    }
-                    None => break,
-                }
+            let unclaimed = closed_at.is_some_and(|c| next >= c);
+            if let Some(out) = self.take_ready(next, unclaimed) {
+                self.admit_after(next);
+                sink(next, finish_slot(next, out));
+                next += 1;
+            } else if closed_at.is_none() && self.past_deadline() {
+                closed_at = Some(self.cursor.swap(n, SeqCst));
+                self.signal();
+            } else if let Claim::Item(index) = self.claim() {
+                self.run(index, f);
+            } else {
+                // `next` is claimed and running on a helper.
+                let deadline = if closed_at.is_none() {
+                    self.deadline
+                } else {
+                    None
+                };
+                self.park(deadline, || matches!(*self.slot(next), Slot::Done(_)));
             }
-            if in_flight == 0 {
-                // Feeder exhausted with nothing outstanding — only reachable
-                // when results were lost to a dead pool; the drain below
-                // fills the remaining slots.
-                break;
+        }
+    }
+
+    /// Takes item `index`'s outcome when it is ready for delivery. An item
+    /// the deadline left `unclaimed` is ready at once, with no outcome.
+    fn take_ready(&self, index: usize, unclaimed: bool) -> Option<Option<Result<R, FaultCause>>> {
+        let mut slot = self.slot(index);
+        match &*slot {
+            Slot::Done(_) => {}
+            Slot::Queued(..) if unclaimed => {}
+            _ => return None,
+        }
+        match std::mem::replace(&mut *slot, Slot::Empty) {
+            Slot::Done(out) => Some(Some(out)),
+            _ => Some(None),
+        }
+    }
+
+    /// Counts item `index` as delivered, which admits item `index + window`.
+    fn admit_after(&self, index: usize) {
+        let admitted = index + self.window;
+        if admitted < self.slots.len() && on_sample_grid(admitted) && telemetry::enabled() {
+            if let Slot::Queued(_, admitted_ns) = &mut *self.slot(admitted) {
+                *admitted_ns = telemetry::clock_ns();
             }
-            let msg = match deadline {
-                Some(d) if !cancelled.load(Ordering::Acquire) => {
+        }
+        self.delivered.store(index + 1, SeqCst);
+        self.signal();
+    }
+
+    /// Closes the cursor: nothing more is claimed.
+    fn close(&self) {
+        self.cursor.store(self.slots.len(), SeqCst);
+        self.signal();
+    }
+
+    /// Blocks until `ready()` holds or `deadline` passes. Every state
+    /// change `ready` reads is published (`SeqCst`, or under a slot lock)
+    /// before its writer checks `parked` in [`Self::signal`], and `parked`
+    /// rises before the first check here, so no wake-up is lost.
+    fn park(&self, deadline: Option<Instant>, ready: impl Fn() -> bool) {
+        let mut guard = lock(&self.park_lock);
+        self.parked.fetch_add(1, SeqCst);
+        while !ready() {
+            guard = match deadline {
+                None => self
+                    .wake
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
                     let now = Instant::now();
                     if now >= d {
-                        cancelled.store(true, Ordering::Release);
-                        continue;
+                        break;
                     }
-                    match res_rx.recv_timeout(d - now) {
-                        Ok(msg) => Some(msg),
-                        Err(RecvTimeoutError::Timeout) => {
-                            cancelled.store(true, Ordering::Release);
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => None,
-                    }
+                    self.wake
+                        .wait_timeout(guard, d - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
                 }
-                // No deadline (or already cancelled — only drain remains,
-                // which cannot block indefinitely): plain blocking recv.
-                _ => res_rx.recv().ok(),
             };
-            let Some((i, out)) = msg else { break };
-            pending.insert(i, out);
-            // Deliver every in-order result that is now ready; each delivery
-            // frees one window slot for the feeder.
-            while let Some(out) = pending.remove(&next) {
-                let index = next;
-                next += 1;
-                in_flight -= 1;
-                sink(index, finish_slot(index, out));
-            }
         }
-        // Close the task channel so workers exit and the scope can join.
-        drop(task_tx);
-        // Abandoned-pool drain: deliver any remaining slots (buffered or
-        // never completed) so the sink always sees exactly n calls in order.
-        while next < n {
-            let index = next;
-            next += 1;
-            let out = pending.remove(&index).flatten();
-            sink(index, finish_slot(index, out));
+        self.parked.fetch_sub(1, SeqCst);
+    }
+
+    /// Wakes every parked thread, if any, after a state change.
+    fn signal(&self) {
+        if self.parked.load(SeqCst) > 0 {
+            // Taking the lock orders this wake-up after a parker's check.
+            drop(lock(&self.park_lock));
+            self.wake.notify_all();
         }
-    })
-    .expect("isolated workers do not panic");
+    }
+}
+
+/// Whether item `index` records the threaded path's timing histograms.
+fn on_sample_grid(index: usize) -> bool {
+    index.is_multiple_of(SPAN_SAMPLE_EVERY as usize)
+}
+
+/// Locks `m`, ignoring poison: no code panics while holding a pool lock
+/// (task bodies run outside them, isolated).
+fn lock<X>(m: &Mutex<X>) -> MutexGuard<'_, X> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Order-preserving parallel map over `items` with `threads` workers,
@@ -329,7 +493,7 @@ where
 /// results.
 ///
 /// With `threads <= 1` (or fewer than two items) this degrades to a plain
-/// sequential loop with no thread or channel overhead.
+/// sequential loop with no thread overhead.
 pub fn par_map_isolated<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<Result<R, TaskFault>>
 where
     T: Send,
@@ -345,58 +509,40 @@ where
     out
 }
 
-/// Order-preserving parallel map over `items` with `threads` workers.
-///
-/// Infallible wrapper over [`par_map_isolated`]: behaviour is byte-identical
-/// to the pre-isolation pool for non-panicking tasks, and a task that *does*
-/// panic re-raises on the calling thread — but only after every other task
-/// has run to completion, so sibling work is never torn down mid-flight.
-///
-/// With `threads <= 1` (or fewer than two items) this degrades to a plain
-/// sequential map with no thread or channel overhead, so callers can pass
-/// a configured thread count straight through.
-pub fn par_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    par_map_isolated(threads, items, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(fault) => match fault.cause {
-                FaultCause::Budget(breach) => budget::breach(breach),
-                cause => panic!("par_map task {} panicked: {cause}", fault.index),
-            },
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::{BreachKind, BudgetBreach, BudgetScope, SourceBudget};
     use std::time::Duration;
 
+    /// Unwraps a fault-free isolated map.
+    fn values<R>(out: Vec<Result<R, TaskFault>>) -> Vec<R> {
+        out.into_iter()
+            .map(|r| r.expect("no faults injected"))
+            .collect()
+    }
+
     #[test]
-    fn par_map_preserves_order() {
+    fn isolated_preserves_order() {
         let items: Vec<u32> = (0..100).collect();
-        let out = par_map(4, items.clone(), |x| x * 2);
+        let out = values(par_map_isolated(4, items.clone(), |x| x * 2));
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn par_map_sequential_fallback() {
-        assert_eq!(par_map(1, vec![3, 1, 2], |x| x + 1), vec![4, 2, 3]);
-        assert_eq!(par_map(8, vec![7], |x| x - 1), vec![6]);
-        assert_eq!(par_map(8, Vec::<u8>::new(), |x| x), Vec::<u8>::new());
+    fn isolated_sequential_fallback() {
+        assert_eq!(
+            values(par_map_isolated(1, vec![3, 1, 2], |x| x + 1)),
+            vec![4, 2, 3]
+        );
+        assert_eq!(values(par_map_isolated(8, vec![7], |x| x - 1)), vec![6]);
+        assert!(par_map_isolated(8, Vec::<u8>::new(), |x| x).is_empty());
     }
 
     #[test]
     fn streamed_delivers_in_order_at_every_window() {
-        for window in [1usize, 2, 3, 7, 64] {
-            for threads in [1usize, 4, 8] {
+        for window in [1usize, 2, 3, 7, 50, 64] {
+            for threads in [1usize, 2, 4, 8] {
                 let mut seen: Vec<(usize, u32)> = Vec::new();
                 par_map_streamed(
                     threads,
@@ -414,29 +560,149 @@ mod tests {
         }
     }
 
+    /// At every threads × window cell, no more than `window` tasks run at
+    /// once, and no task starts more than `window` items ahead of the
+    /// results `sink` has taken (the pool counts a result delivered just
+    /// before handing it over, hence the `+ 1`).
     #[test]
     fn streamed_window_bounds_admission() {
         use std::sync::atomic::AtomicUsize;
-        let in_flight = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let window = 3usize;
+        let n = 40usize;
+        for threads in [2usize, 8] {
+            for window in [1usize, 2, 3, n] {
+                let running = AtomicUsize::new(0);
+                let peak = AtomicUsize::new(0);
+                let sunk = AtomicUsize::new(0);
+                let ahead = AtomicUsize::new(0);
+                par_map_streamed(
+                    threads,
+                    window,
+                    (0..n).collect(),
+                    |i| {
+                        ahead.fetch_max(i + 1 - sunk.load(SeqCst), SeqCst);
+                        let cur = running.fetch_add(1, SeqCst) + 1;
+                        peak.fetch_max(cur, SeqCst);
+                        std::thread::sleep(Duration::from_micros(300));
+                        running.fetch_sub(1, SeqCst);
+                        i
+                    },
+                    |_, _| {
+                        sunk.fetch_add(1, SeqCst);
+                    },
+                );
+                let cell = format!("threads {threads}, window {window}");
+                assert!(peak.load(SeqCst) <= window, "{cell}: too many running");
+                assert!(
+                    ahead.load(SeqCst) <= window + 1,
+                    "{cell}: claimed too far ahead"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sink_runs_on_calling_thread() {
+        let caller = std::thread::current().id();
+        for threads in [2usize, 8] {
+            for window in [1usize, 3, 32] {
+                let mut calls = 0;
+                par_map_streamed(
+                    threads,
+                    window,
+                    (0u32..32).collect(),
+                    |x| {
+                        std::thread::sleep(Duration::from_micros(100));
+                        x
+                    },
+                    |_, _| {
+                        assert_eq!(std::thread::current().id(), caller);
+                        calls += 1;
+                    },
+                );
+                assert_eq!(calls, 32);
+            }
+        }
+    }
+
+    #[test]
+    fn nested_streamed_call_completes() {
+        for (threads, window) in [(2usize, 1usize), (2, 3), (8, 2), (8, 16)] {
+            let out = values(par_map_isolated(threads, (0u64..16).collect(), |x| {
+                let mut sum = 0;
+                par_map_streamed(
+                    threads,
+                    window,
+                    (0..x).collect(),
+                    |y| y * y,
+                    |_, r| sum += r.expect("inner task succeeds"),
+                );
+                sum
+            }));
+            let expect: Vec<u64> = (0u64..16).map(|x| (0..x).map(|y| y * y).sum()).collect();
+            assert_eq!(out, expect, "threads {threads}, window {window}");
+        }
+    }
+
+    /// A task that panics on the calling thread — which claims work like
+    /// any helper — faults at its own index, and everything else completes.
+    #[test]
+    fn caller_claimed_panic_faults_at_its_index() {
+        // Window 1 leaves no room for a helper: the caller claims every item.
+        let mut seen = Vec::new();
         par_map_streamed(
-            8,
-            window,
-            (0u32..40).collect(),
+            2,
+            1,
+            (0u32..6).collect(),
             |x| {
-                let cur = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(cur, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(1));
-                in_flight.fetch_sub(1, Ordering::SeqCst);
+                if x == 3 {
+                    panic!("caller boom");
+                }
                 x
             },
-            |_, _| {},
+            |i, r| seen.push((i, r)),
         );
-        assert!(
-            peak.load(Ordering::SeqCst) <= window,
-            "no more than `window` tasks may execute concurrently"
-        );
+        for (i, r) in seen {
+            if i == 3 {
+                assert_eq!(r.unwrap_err().index, 3);
+            } else {
+                assert_eq!(r.unwrap(), i as u32);
+            }
+        }
+
+        // Full window: the helper's first task holds until the caller has
+        // claimed one, so the caller is certain to run (and fault) some.
+        use std::sync::atomic::AtomicBool;
+        let caller = std::thread::current().id();
+        let caller_claimed = AtomicBool::new(false);
+        let on_caller = Mutex::new(Vec::new());
+        let out = par_map_isolated(2, (0usize..24).collect(), |i| {
+            if std::thread::current().id() == caller {
+                lock(&on_caller).push(i);
+                caller_claimed.store(true, SeqCst);
+                panic!("caller boom {i}");
+            }
+            while !caller_claimed.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            i
+        });
+        let on_caller = on_caller.into_inner().unwrap();
+        assert!(!on_caller.is_empty(), "the caller claims work");
+        for (i, r) in out.iter().enumerate() {
+            match r {
+                Err(fault) => {
+                    assert!(on_caller.contains(&i));
+                    assert_eq!(fault.index, i);
+                    assert_eq!(
+                        fault.cause,
+                        FaultCause::Panic {
+                            message: format!("caller boom {i}")
+                        }
+                    );
+                }
+                Ok(v) => assert_eq!(*v, i),
+            }
+        }
     }
 
     #[test]
@@ -574,16 +840,5 @@ mod tests {
             out.iter().any(|r| r.is_err()),
             "later tasks must observe the elapsed deadline"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "par_map task 2 panicked")]
-    fn infallible_wrapper_reraises() {
-        par_map(4, vec![0, 1, 2, 3], |x| {
-            if x == 2 {
-                panic!("boom");
-            }
-            x
-        });
     }
 }

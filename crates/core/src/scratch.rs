@@ -30,6 +30,7 @@
 //! [`MAX_RETAINED_CAPACITY`]); oversized or surplus buffers are dropped so
 //! the pool itself cannot become the memory hog it exists to prevent.
 
+use crate::telemetry::{Counter, LocalTally};
 use std::cell::RefCell;
 use std::sync::Mutex;
 
@@ -38,11 +39,8 @@ use std::sync::Mutex;
 /// the missing `put_flags` on the cold-rebuild fallback path.
 ///
 /// Take/put happen millions of times per run (once per node evaluation on
-/// the hot paths), so the counts are batched in plain thread-local cells
-/// and drained to the shared counters every [`FLUSH_EVERY`] events and at
-/// thread exit: totals stay exact once worker threads retire, snapshots
-/// stay monotone, and the enabled hot path is a TLS bump instead of an
-/// atomic RMW.
+/// the hot paths), so the counts batch in a per-thread [`LocalTally`]:
+/// the enabled hot path is a TLS bump instead of an atomic RMW.
 mod metrics {
     crate::counter!(pub TAKE_IDS, "scratch.take.ids");
     crate::counter!(pub PUT_IDS, "scratch.put.ids");
@@ -60,7 +58,7 @@ const KIND_TAKE_FLAGS: usize = 4;
 const KIND_PUT_FLAGS: usize = 5;
 const NUM_KINDS: usize = 6;
 
-static KIND_SINKS: [&crate::telemetry::Counter; NUM_KINDS] = [
+static KIND_SINKS: [&Counter; NUM_KINDS] = [
     &metrics::TAKE_IDS,
     &metrics::PUT_IDS,
     &metrics::TAKE_BLOCKS,
@@ -69,56 +67,13 @@ static KIND_SINKS: [&crate::telemetry::Counter; NUM_KINDS] = [
     &metrics::PUT_FLAGS,
 ];
 
-/// Batched events per thread before draining to the shared counters.
-const FLUSH_EVERY: u64 = 1024;
-
-#[derive(Default)]
-struct Tally {
-    counts: [std::cell::Cell<u64>; NUM_KINDS],
-    pending: std::cell::Cell<u64>,
-}
-
-impl Tally {
-    fn flush(&self) {
-        for (kind, sink) in KIND_SINKS.iter().enumerate() {
-            let n = self.counts[kind].take();
-            if n > 0 {
-                sink.add_always(n);
-            }
-        }
-        self.pending.set(0);
-    }
-}
-
-impl Drop for Tally {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 thread_local! {
-    static TALLY: Tally = Tally::default();
+    static TALLY: LocalTally<NUM_KINDS> = const { LocalTally::new(&KIND_SINKS) };
 }
 
 #[inline]
 fn tally(kind: usize) {
-    if crate::telemetry::enabled() {
-        tally_enabled(kind);
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn tally_enabled(kind: usize) {
-    let _ = TALLY.try_with(|t| {
-        t.counts[kind].set(t.counts[kind].get() + 1);
-        let pending = t.pending.get() + 1;
-        if pending >= FLUSH_EVERY {
-            t.flush();
-        } else {
-            t.pending.set(pending);
-        }
-    });
+    LocalTally::record(&TALLY, &[(kind, 1)]);
 }
 
 /// Maximum buffers of one kind retained per pooled set.

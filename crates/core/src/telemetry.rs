@@ -44,11 +44,13 @@
 //! flow, and the bit-identity suites re-run with tracing active to prove
 //! it (`tests/streaming_equivalence.rs`, `tests/incremental_equivalence.rs`).
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
+use std::thread::LocalKey;
 use std::time::Instant;
 
 /// Version tag of the JSON snapshot document. Bump only on breaking shape
@@ -170,7 +172,6 @@ const PADDED_ZERO: Padded = Padded(AtomicU64::new(0));
 /// Index of this thread's counter shard, assigned round-robin on first use.
 #[inline]
 fn shard_index() -> usize {
-    use std::cell::Cell;
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
@@ -277,6 +278,142 @@ macro_rules! counter {
         $vis static $ident: $crate::telemetry::Counter =
             $crate::telemetry::Counter::new($name);
     };
+}
+
+// ---------------------------------------------------------------------------
+// Batched per-thread tallies
+// ---------------------------------------------------------------------------
+
+/// Events a [`LocalTally`] batches before draining into its counters.
+const TALLY_FLUSH_EVERY: u64 = 1024;
+
+#[allow(clippy::declare_interior_mutable_const)] // array-repeat seed
+const CELL_ZERO: Cell<u64> = Cell::new(0);
+
+/// A per-thread batch of increments to a fixed row of [`Counter`]s, for
+/// events that fire far too often for an atomic RMW each (kernel calls,
+/// scratch-pool traffic, per-node hierarchy events). The enabled hot path
+/// is a TLS bump into plain cells; the batch drains into the shared
+/// counters every 1024 events, at thread exit, and whenever [`snapshot`]
+/// or [`flush_thread`] runs on the owning thread — so a snapshot always
+/// includes the calling thread's batch, and worker threads that flush
+/// before they retire leave exact totals behind.
+///
+/// Declare one per module with a `const` thread-local and record through
+/// [`LocalTally::record`]:
+///
+/// ```
+/// use midas_core::telemetry::{Counter, LocalTally};
+/// midas_core::counter!(HITS, "demo.hits");
+/// midas_core::counter!(BYTES, "demo.bytes");
+/// static SINKS: [&Counter; 2] = [&HITS, &BYTES];
+/// thread_local! {
+///     static TALLY: LocalTally<2> = const { LocalTally::new(&SINKS) };
+/// }
+/// LocalTally::record(&TALLY, &[(0, 1), (1, 512)]);
+/// ```
+pub struct LocalTally<const N: usize> {
+    sinks: &'static [&'static Counter; N],
+    counts: [Cell<u64>; N],
+    pending: Cell<u64>,
+    hooked: Cell<bool>,
+}
+
+impl<const N: usize> LocalTally<N> {
+    /// An empty batch draining into `sinks` (row `i` feeds `sinks[i]`).
+    pub const fn new(sinks: &'static [&'static Counter; N]) -> Self {
+        LocalTally {
+            sinks,
+            counts: [CELL_ZERO; N],
+            pending: Cell::new(0),
+            hooked: Cell::new(false),
+        }
+    }
+
+    /// Records one event on this thread's batch in `key`: each `(row, n)`
+    /// adds `n` to that row. A no-op while telemetry is disabled.
+    #[inline]
+    pub fn record(key: &'static LocalKey<Self>, rows: &[(usize, u64)]) {
+        if enabled() {
+            Self::record_enabled(key, rows);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn record_enabled(key: &'static LocalKey<Self>, rows: &[(usize, u64)]) {
+        let _ = key.try_with(|t| {
+            if !t.hooked.replace(true) {
+                register_flush_hook(key);
+            }
+            for &(row, n) in rows {
+                t.counts[row].set(t.counts[row].get() + n);
+            }
+            let pending = t.pending.get() + 1;
+            if pending >= TALLY_FLUSH_EVERY {
+                t.flush();
+            } else {
+                t.pending.set(pending);
+            }
+        });
+    }
+
+    /// Drains the batch into the shared counters.
+    pub fn flush(&self) {
+        for (count, sink) in self.counts.iter().zip(self.sinks) {
+            let n = count.take();
+            if n > 0 {
+                sink.add_always(n);
+            }
+        }
+        self.pending.set(0);
+    }
+}
+
+impl<const N: usize> Drop for LocalTally<N> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// A thread-local batch [`flush_thread`] can drain on the current thread.
+trait FlushHook: Sync {
+    fn flush_current(&'static self);
+}
+
+impl<const N: usize> FlushHook for LocalKey<LocalTally<N>> {
+    fn flush_current(&'static self) {
+        let _ = self.try_with(LocalTally::flush);
+    }
+}
+
+/// Every [`LocalTally`] key that has recorded on some thread.
+static FLUSH_HOOKS: Mutex<Vec<&'static dyn FlushHook>> = Mutex::new(Vec::new());
+
+#[cold]
+fn register_flush_hook(key: &'static dyn FlushHook) {
+    let mut hooks = FLUSH_HOOKS.lock().unwrap_or_else(|p| p.into_inner());
+    let addr = key as *const dyn FlushHook as *const ();
+    if !hooks
+        .iter()
+        .any(|h| *h as *const dyn FlushHook as *const () == addr)
+    {
+        hooks.push(key);
+    }
+}
+
+/// Drains the calling thread's [`LocalTally`] batches into the shared
+/// counters. [`snapshot`] calls it first; pool worker threads call it
+/// before they retire, so their batches are counted by the time the pool
+/// call returns rather than whenever the thread's destructors run.
+pub fn flush_thread() {
+    let hooks = FLUSH_HOOKS
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .clone();
+    for hook in hooks {
+        hook.flush_current();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +590,6 @@ fn emit_span(name: &str, start_ns: u64, end_ns: u64, thread: u64, parent: u64, i
 /// Sequential per-thread identifier for trace events (thread ids are not
 /// stable integers across platforms).
 fn thread_ordinal() -> u64 {
-    use std::cell::Cell;
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
         static ORDINAL: Cell<u64> = const { Cell::new(0) };
@@ -569,8 +705,10 @@ pub struct Snapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-/// Folds every registered metric into a [`Snapshot`].
+/// Folds every registered metric into a [`Snapshot`], after draining the
+/// calling thread's batched tallies (see [`flush_thread`]).
 pub fn snapshot() -> Snapshot {
+    flush_thread();
     let metrics = lock_registry();
     let mut snap = Snapshot::default();
     for m in metrics.iter() {
@@ -920,6 +1058,34 @@ mod tests {
             }
         });
         assert_eq!(TEST_EVENTS.value() - before, threads * iters);
+    }
+
+    counter!(TEST_BATCHED, "test.batched");
+    static TEST_SINKS: [&Counter; 1] = [&TEST_BATCHED];
+    thread_local! {
+        static TEST_TALLY: LocalTally<1> = const { LocalTally::new(&TEST_SINKS) };
+    }
+
+    /// A batch far below the flush threshold still shows in a snapshot
+    /// taken on the thread that recorded it.
+    #[test]
+    fn snapshot_drains_the_calling_threads_batch() {
+        enable();
+        let before = snapshot().counter("test.batched");
+        for _ in 0..10 {
+            LocalTally::record(&TEST_TALLY, &[(0, 3)]);
+        }
+        assert_eq!(snapshot().counter("test.batched") - before, 30);
+
+        // `flush_thread` drains a worker's batch while the worker lives.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let before = TEST_BATCHED.value();
+                LocalTally::record(&TEST_TALLY, &[(0, 7)]);
+                flush_thread();
+                assert_eq!(TEST_BATCHED.value() - before, 7);
+            });
+        });
     }
 
     #[test]

@@ -122,7 +122,14 @@ mod tests {
 
     // These tests mutate process-global state; they must not run while any
     // other test arms a plan. The only other user is the forked-CLI crash
-    // harness, which arms plans in child processes only.
+    // harness, which arms plans in child processes only. Within this module
+    // the test harness runs tests on parallel threads, so every test that
+    // installs a plan holds `PLAN_TESTS` for its whole body.
+    static PLAN_TESTS: Mutex<()> = Mutex::new(());
+
+    fn serialize() -> std::sync::MutexGuard<'static, ()> {
+        PLAN_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn parse_round_trips_and_rejects_garbage() {
@@ -141,6 +148,7 @@ mod tests {
 
     #[test]
     fn non_matching_hits_never_consume_the_plan() {
+        let _serial = serialize();
         install(CrashPlan {
             site: "snap.renamed".into(),
             remaining: 1,
@@ -162,6 +170,7 @@ mod tests {
 
     #[test]
     fn countdown_decrements_without_firing_early() {
+        let _serial = serialize();
         install(CrashPlan {
             site: "unit.stage".into(),
             remaining: 3,

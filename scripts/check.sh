@@ -63,7 +63,9 @@ assert total > 0, "no span events captured"
 print(f"trace OK: {total} span events across {len(sys.argv) - 1} file(s)")
 EOF
 
-echo "== cargo test =="
-cargo test -q --offline
+# Every package's tests, not only the root package's: the library crates
+# (kb, core, cli, extract, eval, bench, shims) carry most of the suite.
+echo "== cargo test --workspace =="
+cargo test -q --offline --workspace
 
 echo "All checks passed."
